@@ -228,10 +228,12 @@ impl Accelerator {
         })
     }
 
-    /// Routes aggregation through `topology` (default flat). Tree
-    /// topologies fold party vectors at edge aggregators before the
-    /// server; results stay bit-identical to the flat fold, only the
-    /// charging (per-node device time, per-hop wire traffic) moves.
+    /// Routes the round engine's folds and
+    /// [`aggregate_weighted`](Self::aggregate_weighted) through
+    /// `topology` (default flat). Tree topologies fold party vectors at
+    /// edge aggregators before the server; results stay bit-identical to
+    /// the flat fold, only the charging (per-node device time, per-hop
+    /// wire traffic) moves.
     pub fn with_topology(mut self, topology: AggregationTopology) -> Self {
         self.topology = topology;
         self
@@ -371,48 +373,14 @@ impl Accelerator {
     }
 
     /// Homomorphically folds several participants' vectors into one,
-    /// routed through [`topology`](Self::topology): flat is one serial
-    /// fold at the server; a tree folds each edge aggregator's fan-in
-    /// first, then the partial aggregates level by level. Homomorphic
-    /// addition is a product of canonical residues mod `n²` —
-    /// associative — so the tree result is bit-identical to the flat
-    /// fold, and both charge the same `parties − 1` additions.
+    /// serially. Homomorphic addition is a product of canonical residues
+    /// mod `n²` — associative — so the sum and its `parties − 1` charged
+    /// additions are the same under any [`topology`](Self::topology);
+    /// where tree folds happen and what their hops cost is modeled by
+    /// the round engine ([`crate::engine::run_round`]), which folds
+    /// through [`Accelerator::add_timed`].
     // flcheck: det-sink — aggregate EncryptedVector construction
     pub fn aggregate(&self, vectors: &[EncryptedVector]) -> Result<EncryptedVector> {
-        match self.topology {
-            AggregationTopology::Flat => self.fold_chain(vectors),
-            AggregationTopology::Tree { .. } => {
-                let mut level = self
-                    .topology
-                    .leaf_groups(vectors.len())
-                    .into_iter()
-                    // `leaf_groups` tiles `0..vectors.len()` exactly.
-                    // flcheck: allow(pf-index)
-                    .map(|g| self.fold_chain(&vectors[g]))
-                    .collect::<Result<Vec<_>>>()?;
-                while level.len() > 1 {
-                    level = self
-                        .topology
-                        .leaf_groups(level.len())
-                        .into_iter()
-                        // flcheck: allow(pf-index)
-                        .map(|g| self.fold_chain(&level[g]))
-                        .collect::<Result<Vec<_>>>()?;
-                }
-                match level.into_iter().next() {
-                    Some(v) => Ok(v),
-                    None => Ok(EncryptedVector {
-                        cts: Vec::new(),
-                        count: 0,
-                    }),
-                }
-            }
-        }
-    }
-
-    /// One aggregator node's serial fold over its fan-in.
-    // flcheck: det-sink — aggregate EncryptedVector construction
-    fn fold_chain(&self, vectors: &[EncryptedVector]) -> Result<EncryptedVector> {
         let mut iter = vectors.iter();
         let first = match iter.next() {
             Some(v) => v,
@@ -514,7 +482,7 @@ impl Accelerator {
                         .leaf_groups(level.len())
                         .into_iter()
                         // flcheck: allow(pf-index)
-                        .map(|g| self.fold_chain(&level[g]))
+                        .map(|g| self.aggregate(&level[g]))
                         .collect::<Result<Vec<_>>>()?;
                 }
                 match level.into_iter().next() {
@@ -586,19 +554,6 @@ impl Accelerator {
         let (values, t) = self.decrypt_sum_timed(vector, terms)?;
         self.charge_accel(&t);
         Ok(values)
-    }
-
-    /// Full secure-aggregation round for one party's view: encrypt every
-    /// party's vector, aggregate, decrypt the averaged sum. Returns the
-    /// element-wise *sums* (caller divides for the mean).
-    pub fn secure_sum(&self, parties: &[Vec<f64>], seed: u64) -> Result<Vec<f64>> {
-        let encrypted: Result<Vec<EncryptedVector>> = parties
-            .iter()
-            .enumerate()
-            .map(|(k, v)| self.encrypt(v, seed.wrapping_add(k as u64)))
-            .collect();
-        let agg = self.aggregate(&encrypted?)?;
-        self.decrypt_sum(&agg, crate::count_u32(parties.len()))
     }
 
     /// Accumulated backend timing since the last [`Accelerator::take_timing`].
@@ -718,18 +673,29 @@ mod tests {
     }
 
     #[test]
-    fn secure_sum_matches_plain_sum() {
-        let keys = keys();
-        let acc = Accelerator::new(BackendKind::FlBooster, keys, 4).unwrap();
-        let parties: Vec<Vec<f64>> = (0..4).map(|k| grads(20 + k)).collect();
-        // Vectors of different lengths must panic in aggregate...
-        let same: Vec<Vec<f64>> = (0..4).map(|_| grads(20)).collect();
-        let sums = acc.secure_sum(&same, 3).unwrap();
+    fn round_sums_match_plain_sums() {
+        use crate::engine::{run_round, EngineConfig};
+        use crate::metrics::EpochBreakdown;
+        use crate::train::{FlEnv, TrainConfig};
+
+        let acc = Accelerator::new(BackendKind::FlBooster, keys(), 4).unwrap();
+        let env = FlEnv::new(acc, 1);
+        let parties: Vec<Vec<f64>> = (0..4).map(|_| grads(20)).collect();
+        let mut b = EpochBreakdown::default();
+        let out = run_round(
+            &env,
+            &EngineConfig::sequential(),
+            &TrainConfig::default(),
+            &parties,
+            &[0; 4],
+            3,
+            &mut b,
+        )
+        .unwrap();
         for i in 0..20 {
-            let expected: f64 = same.iter().map(|p| p[i]).sum();
-            assert!((sums[i] - expected).abs() < 4e-8, "i={i}");
+            let expected: f64 = parties.iter().map(|p| p[i]).sum();
+            assert!((out.sums[i] - expected).abs() < 4e-8, "i={i}");
         }
-        let _ = parties;
     }
 
     #[test]

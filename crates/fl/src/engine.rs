@@ -1,11 +1,11 @@
-//! Event-driven pipelined round engine.
+//! Event-driven round engine: the one secure-aggregation path.
 //!
-//! The classic loop in [`FlEnv::aggregation_round`] runs one secure-
-//! aggregation round as four sequential barriers: *every* client
-//! encrypts, then *every* ciphertext crosses the wire, then the server
-//! folds, then the broadcast. Real deployments overlap those stages —
-//! client 0's ciphertext is folding at the server while client 7 is
-//! still encrypting. This module reproduces that overlap on a
+//! Every model's secure-aggregation round (paper Fig. 2) runs through
+//! [`run_round`]: each client computes locally, encrypts its vector and
+//! uploads it; the server folds the ciphertexts homomorphically and
+//! broadcasts the aggregate; each client decrypts. Real deployments
+//! overlap those stages — client 0's ciphertext is folding at the server
+//! while client 7 is still encrypting — so the engine lays them out on a
 //! deterministic simulated timeline.
 //!
 //! # Event model
@@ -34,22 +34,21 @@
 //!   ever depends on wall clock.
 //! - Paillier aggregation multiplies canonical residues mod `n²` — a
 //!   commutative, associative product — so folding ciphertexts in
-//!   *arrival* order is bit-identical to the sequential index-order
-//!   fold, and every add costs the same simulated seconds regardless of
-//!   order.
+//!   *arrival* order is bit-identical to the index-order fold, and
+//!   every add costs the same simulated seconds regardless of order.
 //!
 //! # Charging
 //!
-//! The engine charges exactly the component totals the sequential loop
-//! charges — work is invariant under reordering; only the *elapsed*
+//! Clients run in parallel on their own machines, so client-side work
+//! (local compute, encrypt, decrypt) is charged as the survivors' mean;
+//! server-side folds and all NIC traffic are charged in full. Work is
+//! invariant under reordering; only the *elapsed*
 //! [`round_seconds`](crate::metrics::EpochBreakdown::round_seconds)
 //! (the event timeline's critical path) shrinks when `pipelined` is
-//! set. With `pipelined` off the engine charges elapsed equal to the
-//! phase total, matching the classic loop bit-for-bit on the default
-//! flat topology. (On tree topologies the engine charges each hop at
-//! the *partial* aggregate's true wire size where the classic loop
-//! approximates every hop at the root aggregate's size — the engine is
-//! the more faithful account.)
+//! set. With `pipelined` off ([`EngineConfig::sequential`], the
+//! training default) elapsed equals the work total, accumulated charge
+//! by charge. Tree topologies charge each hop at the partial
+//! aggregate's true wire size.
 //!
 //! # Stragglers
 //!
@@ -83,13 +82,13 @@ use crate::train::{FlEnv, TrainConfig};
 use crate::{Error, Result};
 
 /// Round-engine configuration, carried by
-/// [`TrainConfig::engine`](crate::train::TrainConfig::engine).
+/// [`TrainConfig::engine`](crate::train::TrainConfig::engine)
+/// (default [`EngineConfig::sequential`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Overlap phases on the event timeline. When false the engine
     /// still runs the event machinery (and straggler semantics) but
-    /// charges elapsed time equal to the work total, reproducing the
-    /// sequential loop's accounting.
+    /// charges elapsed time equal to the work total.
     pub pipelined: bool,
     /// Local deadline in simulated seconds: a client whose
     /// `compute + encrypt` exceeds it is dropped from the round.
@@ -118,7 +117,8 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// A non-overlapping engine: same event machinery and straggler
-    /// rules, sequential-loop accounting.
+    /// rules, elapsed time equal to the work total. The training
+    /// default.
     pub fn sequential() -> Self {
         EngineConfig {
             pipelined: false,
@@ -241,28 +241,6 @@ impl RoundOutcome {
     }
 }
 
-/// Mean per-client local-compute seconds:
-/// `(Σ flops[k] · multipliers[k % len]) / n · sec_per_flop`.
-///
-/// Both the engine and the classic Homo LR loop charge local compute
-/// through this exact expression, so their "Others" attribution stays
-/// bit-identical when the engine runs with homogeneous clients.
-pub fn mean_compute_seconds(client_flops: &[u64], multipliers: &[f64], sec_per_flop: f64) -> f64 {
-    if client_flops.is_empty() {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    for (k, &flops) in client_flops.iter().enumerate() {
-        let m = if multipliers.is_empty() {
-            1.0
-        } else {
-            multipliers[k % multipliers.len()]
-        };
-        sum += flops as f64 * m;
-    }
-    sum / client_flops.len() as f64 * sec_per_flop
-}
-
 /// Which pipeline phase a charge belongs to.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
@@ -276,7 +254,7 @@ enum Phase {
 
 /// Routes every simulated second to its component (HE / comm / other),
 /// its pipeline phase, and — in sequential mode — straight into
-/// `round_seconds`, preserving the classic loop's exact add order.
+/// `round_seconds`, one add per charge.
 struct Charger<'a> {
     breakdown: &'a mut EpochBreakdown,
     sequential: bool,
@@ -418,12 +396,16 @@ fn internal_error(what: &str) -> Error {
     Error::BadConfig(format!("round engine internal invariant broken: {what}"))
 }
 
-/// Runs one pipelined secure-aggregation round over `parties` gradient
-/// vectors, charging `breakdown` and returning the surviving sums.
+/// Runs one secure-aggregation round over `parties` gradient vectors,
+/// charging `breakdown` and returning the surviving sums.
 ///
 /// `client_flops` holds each client's local-compute cost for the round
 /// (same length as `parties`); the engine scales it by the configured
 /// heterogeneity multipliers to stagger the timeline.
+///
+/// Every vector must have client 0's length; the first that does not is
+/// reported as [`Error::ShapeMismatch`] before anything is encrypted,
+/// sent or charged.
 pub fn run_round(
     env: &FlEnv,
     engine: &EngineConfig,
@@ -444,6 +426,18 @@ pub fn run_round(
             p,
             client_flops.len()
         )));
+    }
+    let expected = parties[0].len();
+    if let Some((client, v)) = parties
+        .iter()
+        .enumerate()
+        .find(|(_, v)| v.len() != expected)
+    {
+        return Err(Error::ShapeMismatch {
+            client,
+            expected,
+            got: v.len(),
+        });
     }
 
     // --- Real work, phase 1: every client encrypts on the pool. ---
@@ -503,7 +497,8 @@ pub fn run_round(
         work: 0.0,
     };
 
-    // --- Client-side charges (survivor means, classic-loop order). ---
+    // --- Client-side charges: survivor means (clients are symmetric
+    // and run on their own machines). ---
     let mut flops_sum = 0.0;
     let mut enc_he_sum = 0.0;
     let mut enc_codec_sum = 0.0;
@@ -515,11 +510,11 @@ pub fn run_round(
     charger.other(flops_sum / n * cfg.sec_per_flop, Phase::Compute);
     charger.he(enc_he_sum / n, Phase::Encrypt);
     charger.other(enc_codec_sum / n, Phase::Encrypt);
-    charger.breakdown.he_values += parties[0].len() as u64;
+    charger.breakdown.he_values += expected as u64;
 
     // --- Uplink costs, charged in client index order (the network's
-    // drop-retry randomness, when enabled, must consume its stream in
-    // the same order as the sequential loop). ---
+    // drop-retry randomness, when enabled, consumes its stream in the
+    // same order at any thread count and pipelining setting). ---
     let mut uplink_dur = vec![0.0f64; p];
     for &k in &survivors {
         let Some(ev) = client_cts[k].as_ref() else {
@@ -699,7 +694,7 @@ pub fn run_round(
     );
 
     // --- Real work, phase 3: decrypt (clients are symmetric; one
-    // client's cost is charged, as in the classic loop). ---
+    // client's cost is charged). ---
     let (sums, dec_t) = env
         .accel
         .decrypt_sum_timed(&agg, crate::count_u32(survivors.len()))?;
@@ -816,43 +811,147 @@ mod tests {
     }
 
     #[test]
-    fn sequential_engine_matches_classic_loop_exactly() {
-        // Same keys, same seeds, same parties: the engine with
-        // pipelining off must reproduce the classic loop's sums and its
-        // breakdown bit-for-bit (components, phases, round_seconds).
-        let grads = parties(5, 12);
-        let flops: Vec<u64> = (0..5).map(|k| 4000 + 137 * k as u64).collect();
-        let tcfg = TrainConfig::default();
-
-        let classic_env = env_with(BackendKind::FlBooster, 1);
-        let mut classic = EpochBreakdown::default();
-        classic_env.charge_local_seconds(
-            mean_compute_seconds(&flops, &[], tcfg.sec_per_flop),
-            &mut classic,
-        );
-        let classic_sums = classic_env
-            .aggregation_round(&grads, 99, &mut classic)
-            .unwrap();
-
-        let engine_env = env_with(BackendKind::FlBooster, 1);
-        let mut engined = EpochBreakdown::default();
-        let out = run_round(
-            &engine_env,
-            &EngineConfig::sequential(),
-            &tcfg,
+    fn unequal_client_vectors_are_rejected_before_any_charge() {
+        let env = env_with(BackendKind::FlBooster, 1);
+        let mut b = EpochBreakdown::default();
+        let mut grads = parties(3, 4);
+        grads[2].pop();
+        let err = run_round(
+            &env,
+            &EngineConfig::default(),
+            &TrainConfig::default(),
             &grads,
-            &flops,
-            99,
-            &mut engined,
+            &[100, 100, 100],
+            1,
+            &mut b,
         )
-        .unwrap();
+        .unwrap_err();
+        assert_eq!(
+            err,
+            Error::ShapeMismatch {
+                client: 2,
+                expected: 4,
+                got: 3
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "client 2 sent 3 values but the round expects 4"
+        );
+        // Nothing was encrypted, sent or charged.
+        assert_eq!(b, EpochBreakdown::default());
+        assert_eq!(env.network.stats(), crate::net::NetStats::default());
+    }
 
-        assert_eq!(out.sums, classic_sums);
-        assert_eq!(out.survivors, vec![0, 1, 2, 3, 4]);
-        assert!(out.dropped.is_empty());
-        assert_eq!(engined, classic);
-        assert_eq!(engine_env.network.stats(), classic_env.network.stats());
-        assert_eq!(out.round_seconds, engined.round_seconds);
+    #[test]
+    fn sequential_homo_lr_epoch_matches_the_golden_breakdown() {
+        // One three-round Homo LR epoch on a fixed fixture, with the
+        // default (sequential) engine. Every f64 is pinned to its bits,
+        // so any change to what is charged, or to the order the charges
+        // are summed in, shows here.
+        use crate::data::generators::DatasetSpec;
+        use crate::metrics::PhaseBreakdown;
+        use crate::models::HomoLr;
+        use crate::train::FlModel;
+
+        let mut spec = DatasetSpec::synthetic();
+        spec.features = 16;
+        spec.nnz_per_row = 16;
+        spec.instances = 160;
+        let data = spec.generate(1.0);
+        let cfg = TrainConfig {
+            batch_size: 16,
+            ..TrainConfig::default()
+        };
+        let env = FlEnv::new(
+            Accelerator::new(BackendKind::FlBooster, keys(), 4).unwrap(),
+            1,
+        );
+        let mut model = HomoLr::new(&data, 4, &cfg);
+        let b = model.run_epoch(&env, &cfg, 0).unwrap().breakdown;
+
+        let golden = EpochBreakdown {
+            he_seconds: f64::from_bits(0x3e98_8d51_6810_7adc),
+            comm_seconds: f64::from_bits(0x3f91_56d8_bafd_d390),
+            other_seconds: f64::from_bits(0x3f40_1b2b_29a4_692c),
+            comm_bytes: 4607,
+            ciphertexts: 144,
+            he_values: 48,
+            phases: PhaseBreakdown {
+                compute_seconds: f64::from_bits(0x3ee8_28c0_be76_9dc2),
+                encrypt_seconds: f64::from_bits(0x3f2f_771d_5ca1_048c),
+                uplink_seconds: f64::from_bits(0x3f81_56d8_318d_744f),
+                aggregate_seconds: f64::from_bits(0x3e69_63a5_b7ed_33ad),
+                downlink_seconds: f64::from_bits(0x3f81_56d9_446e_32d2),
+                decrypt_seconds: f64::from_bits(0x3f2f_7db3_ac61_bfb0),
+            },
+            round_seconds: f64::from_bits(0x3f91_d7ca_a19c_5eeb),
+        };
+        assert_eq!(b, golden);
+        assert_eq!(
+            env.network.stats(),
+            crate::net::NetStats {
+                messages: 24,
+                ciphertexts: 144,
+                bytes: 4607,
+                seconds: f64::from_bits(0x3f91_56d8_bafd_d390),
+                retries: 0,
+            }
+        );
+        assert_eq!(model.loss().to_bits(), 0x3fe1_9643_6e74_2f26);
+    }
+
+    #[test]
+    fn every_backend_and_topology_matches_the_plaintext_oracle() {
+        // Sums against plain f64 sums, phases against components, and
+        // charged bytes against the network's own counters — for every
+        // backend, with and without overlap, flat and tree-routed.
+        let grads = parties(7, 9);
+        let flops = vec![3000u64; 7];
+        let tcfg = TrainConfig::default();
+        let plain: Vec<f64> = (0..9).map(|i| grads.iter().map(|g| g[i]).sum()).collect();
+        let kinds = [
+            BackendKind::Fate,
+            BackendKind::Haflo,
+            BackendKind::FlBooster,
+            BackendKind::WithoutGhe,
+            BackendKind::WithoutBc,
+        ];
+        for kind in kinds {
+            for ecfg in [EngineConfig::sequential(), EngineConfig::default()] {
+                for topology in [AggregationTopology::Flat, AggregationTopology::tree(3)] {
+                    let accel = Accelerator::new(kind, keys(), 8)
+                        .unwrap()
+                        .with_topology(topology);
+                    let profile = accel.network_profile().with_duplex_streams(2);
+                    let env = FlEnv {
+                        network: crate::net::Network::new(profile, 1),
+                        accel,
+                    };
+                    let what = format!("{kind:?} pipelined={} {topology:?}", ecfg.pipelined);
+                    let before = env.network.stats().bytes;
+                    let mut b = EpochBreakdown::default();
+                    let out = run_round(&env, &ecfg, &tcfg, &grads, &flops, 17, &mut b).unwrap();
+
+                    let bound =
+                        out.survivors.len() as f64 * env.accel.codec().quantizer().max_error();
+                    for (i, (s, p)) in out.sums.iter().zip(&plain).enumerate() {
+                        assert!((s - p).abs() <= bound, "{what}: slot {i}: {s} vs {p}");
+                    }
+                    let total = b.total_seconds();
+                    assert!(
+                        (b.phases.total() - total).abs() <= 1e-9 * total,
+                        "{what}: phases {} vs components {total}",
+                        b.phases.total()
+                    );
+                    assert_eq!(
+                        b.comm_bytes,
+                        env.network.stats().bytes - before,
+                        "{what}: charged bytes vs network"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1058,14 +1157,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, Error::BadConfig(_)));
-    }
-
-    #[test]
-    fn mean_compute_seconds_tiles_multipliers() {
-        assert_eq!(mean_compute_seconds(&[], &[], 1.0), 0.0);
-        assert_eq!(mean_compute_seconds(&[10, 10], &[], 0.5), 5.0);
-        // Multipliers tile: [2, 4, 2, 4].
-        let m = mean_compute_seconds(&[10, 10, 10, 10], &[2.0, 4.0], 1.0);
-        assert_eq!(m, 30.0);
     }
 }

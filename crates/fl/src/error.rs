@@ -30,6 +30,17 @@ pub enum Error {
         /// Zero-based index of the first client dropped from the round.
         client: usize,
     },
+    /// A client's vector in a secure-aggregation round differs in length
+    /// from client 0's. Rejected before anything is encrypted or charged;
+    /// the variant names the first offending client.
+    ShapeMismatch {
+        /// Zero-based index of the first client whose length differs.
+        client: usize,
+        /// Length of client 0's vector.
+        expected: usize,
+        /// Length the offending client sent.
+        got: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -47,6 +58,14 @@ impl fmt::Display for Error {
                     "client {client} missed the straggler deadline and the round lost quorum"
                 )
             }
+            Error::ShapeMismatch {
+                client,
+                expected,
+                got,
+            } => write!(
+                f,
+                "client {client} sent {got} values but the round expects {expected}"
+            ),
         }
     }
 }
@@ -100,6 +119,19 @@ mod tests {
         assert_eq!(
             Error::StragglerTimeout { client: 41 }.to_string(),
             "client 41 missed the straggler deadline and the round lost quorum"
+        );
+    }
+
+    #[test]
+    fn shape_mismatch_message_names_the_client() {
+        assert_eq!(
+            Error::ShapeMismatch {
+                client: 2,
+                expected: 4,
+                got: 3
+            }
+            .to_string(),
+            "client 2 sent 3 values but the round expects 4"
         );
     }
 }

@@ -18,9 +18,13 @@
 //! - [`backend`]: the acceleration systems under test — **FATE** (CPU HE,
 //!   no compression), **HAFLO** (GPU HE, no compression), **FLBooster**
 //!   (GPU HE + batch compression), and the two ablations `w/o GHE` and
-//!   `w/o BC` of the paper's Table V.
-//! - [`train`]: the epoch loop with the HE / communication / other time
-//!   attribution of the paper's Fig. 1 and Table VI.
+//!   `w/o BC` of the paper's Table V — all behind one quantize → pack →
+//!   encrypt / fold / decrypt → unpack pipeline (paper Fig. 4).
+//! - [`engine`]: the event-driven round engine, the one
+//!   secure-aggregation path every model's rounds run through.
+//! - [`train`]: the training environment and epoch loop, with the HE /
+//!   communication / other time attribution of the paper's Fig. 1 and
+//!   Table VI.
 //! - [`metrics`]: convergence bias (paper Eq. 15), throughput, and epoch
 //!   summaries.
 

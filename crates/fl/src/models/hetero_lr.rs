@@ -20,6 +20,7 @@
 // weight vectors are sized to each shard's feature range).
 
 use crate::data::{vertical_split, Dataset, VerticalShard};
+use crate::engine::run_round;
 use crate::metrics::{EpochBreakdown, EpochResult};
 use crate::models::{scale_down, scale_up};
 use crate::optim::{Adam, Optimizer};
@@ -111,6 +112,10 @@ impl FlModel for HeteroLr {
         let mut breakdown = EpochBreakdown::default();
         let n = self.labels.len();
         let p = self.shards.len();
+        // Each party holds disjoint features, so a round missing one
+        // would sum to a silently wrong score: the quorum is every party,
+        // and a dropped party fails the round.
+        let engine = cfg.engine.clone().with_min_clients(p);
         let batches: Vec<std::ops::Range<usize>> = (0..n.div_ceil(cfg.batch_size.max(1)))
             .map(|b| (b * cfg.batch_size)..(((b + 1) * cfg.batch_size).min(n)))
             .collect();
@@ -120,14 +125,22 @@ impl FlModel for HeteroLr {
 
             // (1)+(2) partial scores, securely summed.
             let mut score_parts = Vec::with_capacity(p);
-            let mut flops = 0u64;
+            let mut flops = Vec::with_capacity(p);
             for k in 0..p {
                 let (u_k, f) = self.partial_scores(k, range);
                 score_parts.push(scale_down(&u_k));
-                flops += f;
+                flops.push(f);
             }
-            env.charge_local_compute(flops / p as u64, cfg, &mut breakdown);
-            let u = scale_up(&env.aggregation_round(&score_parts, seed, &mut breakdown)?);
+            let out = run_round(
+                env,
+                &engine,
+                cfg,
+                &score_parts,
+                &flops,
+                seed,
+                &mut breakdown,
+            )?;
+            let u = scale_up(&out.sums);
 
             // (3) residuals, encrypted broadcast to the passive parties.
             let d: Vec<f64> = range
@@ -256,6 +269,32 @@ mod tests {
         };
         let env = env(BackendKind::FlBooster);
         let mut model = HeteroLr::new(&data, 1, &cfg).unwrap();
+        let initial = model.loss();
+        model.run_epoch(&env, &cfg, 0).unwrap();
+        assert!(model.loss() < initial);
+    }
+
+    #[test]
+    fn a_straggling_party_fails_the_round_instead_of_being_dropped() {
+        // Party 1 computes a million times slower than the others, so it
+        // alone misses a one-second deadline. Homo LR would average over
+        // the survivors; a vertical model must not sum a partial score
+        // without one party's features, so the epoch fails naming it.
+        let data = small_dataset();
+        let engine = crate::engine::EngineConfig::sequential().with_straggler_timeout(1.0);
+        let cfg = TrainConfig {
+            batch_size: 64,
+            engine: engine.clone().with_compute_multipliers(vec![1.0, 1e6, 1.0]),
+            ..TrainConfig::default()
+        };
+        let env = env(BackendKind::FlBooster);
+        let mut model = HeteroLr::new(&data, 3, &cfg).unwrap();
+        let err = model.run_epoch(&env, &cfg, 0).unwrap_err();
+        assert_eq!(err, Error::StragglerTimeout { client: 1 });
+
+        // The same deadline with homogeneous parties trains normally.
+        let cfg = TrainConfig { engine, ..cfg };
+        let mut model = HeteroLr::new(&data, 3, &cfg).unwrap();
         let initial = model.loss();
         model.run_epoch(&env, &cfg, 0).unwrap();
         assert!(model.loss() < initial);

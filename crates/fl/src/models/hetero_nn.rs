@@ -27,6 +27,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::data::{vertical_split, Dataset, VerticalShard};
+use crate::engine::run_round;
 use crate::metrics::{EpochBreakdown, EpochResult};
 use crate::models::{scale_down, scale_up};
 use crate::optim::{Adam, Optimizer};
@@ -156,6 +157,10 @@ impl FlModel for HeteroNn {
         let mut breakdown = EpochBreakdown::default();
         let n = self.labels.len();
         let p = self.shards.len();
+        // Each party holds disjoint features, so a round missing one
+        // would sum to a silently wrong score: the quorum is every party,
+        // and a dropped party fails the round.
+        let engine = cfg.engine.clone().with_min_clients(p);
         let bs = cfg.batch_size.max(1);
 
         for (round, start) in (0..n).step_by(bs).enumerate() {
@@ -165,14 +170,14 @@ impl FlModel for HeteroNn {
 
             // (1) secure sum of partial pre-activations.
             let mut parts = Vec::with_capacity(p);
-            let mut flops = 0u64;
+            let mut flops = Vec::with_capacity(p);
             for k in 0..p {
                 let (zk, f) = self.partial_activations(k, &range);
                 parts.push(scale_down(&zk));
-                flops += f;
+                flops.push(f);
             }
-            env.charge_local_compute(flops / p as u64, cfg, &mut breakdown);
-            let z = scale_up(&env.aggregation_round(&parts, seed, &mut breakdown)?);
+            let out = run_round(env, &engine, cfg, &parts, &flops, seed, &mut breakdown)?;
+            let z = scale_up(&out.sums);
 
             // (2) top model forward + output error (active party).
             let mut hidden = vec![0.0; b * HIDDEN];

@@ -27,12 +27,14 @@ if ! RUSTFLAGS="-D warnings" cargo build --workspace --release 2>&1 | tail -20; 
   exit 1
 fi
 
-run() {
-  name=$1; shift
+# run_as OUT BIN ARGS...: runs BIN and tees its output to results/OUT.txt.
+run_as() {
+  out=$1; name=$2; shift 2
   echo "=== $name: $* ===" 
-  ( ./target/release/$name "$@" 2>&1 ) | tee $R/$name.txt
+  ( ./target/release/$name "$@" 2>&1 ) | tee $R/$out.txt
   echo
 }
+run() { run_as "$1" "$@"; }
 if [ "$QUICK" -eq 1 ]; then
   T5_DATASETS=rcv1
   T7_ARGS="--epochs 1 --models homo-lr --datasets rcv1"
@@ -57,7 +59,8 @@ run table4_throughput --quick --keys 1024
 run table3_epoch_time --quick --keys 1024
 if [ "$QUICK" -eq 0 ]; then
   # Second sweep point (2048-bit keys) — cardinality, not a distinct gate.
-  run table3_epoch_time --quick --keys 2048 --models homo-lr --datasets rcv1
+  # Its own results file, so it does not overwrite the 1024-bit table.
+  run_as table3_sweep table3_epoch_time --quick --keys 2048 --models homo-lr --datasets rcv1
 fi
 run table5_ablation --quick --keys 1024 --datasets $T5_DATASETS
 run table7_bias --quick $T7_ARGS

@@ -8,7 +8,6 @@ use fl::data::generators::DatasetSpec;
 use fl::models::{HeteroLr, HeteroNn, HeteroSbt, HomoLr};
 use fl::train::{train, FlEnv, FlModel, TrainConfig};
 use fl::{Accelerator, BackendKind};
-use flbooster_core::FlBooster;
 use he::paillier::PaillierKeyPair;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -185,22 +184,23 @@ fn training_to_convergence_stops_on_tolerance() {
 
 #[test]
 fn platform_pipeline_matches_direct_he_path() {
-    // The FlBooster pipeline (quantize→pack→encrypt→aggregate→decrypt)
-    // must agree with manually composing codec + he.
+    // The FLBooster pipeline (quantize→pack→encrypt→fold→decrypt) must
+    // agree with manually composing codec + he.
     let mut rng = ChaCha8Rng::seed_from_u64(0xAB);
     let keys = PaillierKeyPair::generate(&mut rng, 256).unwrap();
-    let platform = FlBooster::builder()
-        .key_bits(256)
-        .participants(2)
-        .build_with_keys(keys.clone())
-        .unwrap();
+    let platform = Accelerator::new(BackendKind::FlBooster, keys.clone(), 2).unwrap();
 
     let grads: Vec<f64> = (0..40).map(|i| ((i as f64) * 0.1).sin() * 0.8).collect();
-    let (cts, _) = platform.encrypt_gradients(&grads, 5).unwrap();
-    let (via_pipeline, _) = platform.decrypt_gradients(&cts, grads.len(), 1).unwrap();
+    let (ev, enc_t) = platform.encrypt_timed(&grads, 5).unwrap();
+    let (via_pipeline, dec_t) = platform.decrypt_sum_timed(&ev, 1).unwrap();
+    assert!(enc_t.he_seconds > 0.0 && dec_t.he_seconds > 0.0);
+    // Batch compression: fewer ciphertexts than values.
+    assert!(ev.ciphertext_count() < grads.len() as u64);
 
     // Manual path with the same codec.
-    let packed = platform.codec.pack(&grads).unwrap();
+    let codec = platform.codec();
+    let packed = codec.pack(&grads).unwrap();
+    assert_eq!(packed.len() as u64, ev.ciphertext_count());
     let manual: Vec<f64> = {
         let mut words = Vec::new();
         for (i, word) in packed.iter().enumerate() {
@@ -210,12 +210,20 @@ fn platform_pipeline_matches_direct_he_path() {
                 .unwrap();
             words.push(keys.private.decrypt_crt(&c).unwrap());
         }
-        platform.codec.unpack(&words, grads.len()).unwrap()
+        codec.unpack(&words, grads.len()).unwrap()
     };
     assert_eq!(
         via_pipeline, manual,
         "pipeline and manual paths must agree exactly"
     );
+
+    // Folding a second party's ciphertexts sums slot-wise.
+    let (ev2, _) = platform.encrypt_timed(&grads, 6).unwrap();
+    let (agg, _) = platform.add_timed(&ev, &ev2).unwrap();
+    let (sums, _) = platform.decrypt_sum_timed(&agg, 2).unwrap();
+    for (s, m) in sums.iter().zip(&manual) {
+        assert_eq!(*s, 2.0 * m);
+    }
 }
 
 #[test]
@@ -248,7 +256,8 @@ fn hetero_models_train_through_all_ablations() {
 fn phase_breakdown_sums_to_the_component_totals_for_every_model() {
     // The six-phase re-attribution must account for exactly the seconds
     // already charged to Others/HE/Comm — nothing gained, nothing lost —
-    // and sequential paths must report elapsed == work (no overlap).
+    // and the default sequential engine must report elapsed == work (no
+    // overlap).
     let data = dataset(16, 96);
     let cfg = TrainConfig {
         batch_size: 48,
@@ -304,7 +313,7 @@ fn phase_breakdown_sums_to_the_component_totals_for_every_model() {
     // The pipelined engine keeps the same phase accounting but reports a
     // shorter elapsed round, so the speedup turns real.
     let cfg_engine = TrainConfig {
-        engine: Some(fl::EngineConfig::default()),
+        engine: fl::EngineConfig::default(),
         ..cfg.clone()
     };
     let env = FlEnv::new(

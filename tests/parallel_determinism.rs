@@ -432,7 +432,7 @@ fn dataset_generation_and_pooled_blinding_are_hash_order_free() {
 }
 
 #[test]
-fn round_engine_is_thread_count_invariant_and_matches_the_classic_loop() {
+fn round_engine_is_thread_count_invariant_in_both_modes() {
     use fl::models::HomoLr;
     use fl::train::{FlEnv, FlModel, TrainConfig};
     use fl::{Accelerator, BackendKind, EngineConfig};
@@ -447,7 +447,7 @@ fn round_engine_is_thread_count_invariant_and_matches_the_classic_loop() {
     spec.instances = 160;
     let data = spec.generate(1.0);
 
-    let run = |threads: Option<usize>, engine: Option<EngineConfig>| {
+    let run = |threads: Option<usize>, engine: EngineConfig| {
         let keys = keys.clone();
         let data = data.clone();
         let body = move || {
@@ -468,31 +468,31 @@ fn round_engine_is_thread_count_invariant_and_matches_the_classic_loop() {
         }
     };
 
-    // The classic sequential loop on one thread is the reference.
-    let (classic_w, classic_b) = run(Some(1), None);
+    // The sequential engine on one thread is the reference.
+    let (seq_w, seq_b) = run(Some(1), EngineConfig::sequential());
 
     let sweeps: [Option<usize>; 4] = [Some(1), Some(2), Some(8), None];
     let mut pipelined_ref = None;
     for threads in sweeps {
         // Sequential engine: bit-identical weights AND bit-identical
-        // breakdown (components, phases, round_seconds) to the classic
-        // loop, at every thread count.
-        let (w, b) = run(threads, Some(EngineConfig::sequential()));
-        assert_eq!(w, classic_w, "sequential engine weights, {threads:?}");
-        assert_eq!(b, classic_b, "sequential engine breakdown, {threads:?}");
+        // breakdown (components, phases, round_seconds) at every thread
+        // count.
+        let (w, b) = run(threads, EngineConfig::sequential());
+        assert_eq!(w, seq_w, "sequential engine weights, {threads:?}");
+        assert_eq!(b, seq_b, "sequential engine breakdown, {threads:?}");
 
         // Pipelined engine: same weights and same work, shorter round.
-        let (w, b) = run(threads, Some(EngineConfig::default()));
-        assert_eq!(w, classic_w, "pipelined engine weights, {threads:?}");
-        assert_eq!(b.he_seconds, classic_b.he_seconds, "{threads:?}");
-        assert_eq!(b.comm_seconds, classic_b.comm_seconds, "{threads:?}");
-        assert_eq!(b.other_seconds, classic_b.other_seconds, "{threads:?}");
-        assert_eq!(b.phases, classic_b.phases, "{threads:?}");
+        let (w, b) = run(threads, EngineConfig::default());
+        assert_eq!(w, seq_w, "pipelined engine weights, {threads:?}");
+        assert_eq!(b.he_seconds, seq_b.he_seconds, "{threads:?}");
+        assert_eq!(b.comm_seconds, seq_b.comm_seconds, "{threads:?}");
+        assert_eq!(b.other_seconds, seq_b.other_seconds, "{threads:?}");
+        assert_eq!(b.phases, seq_b.phases, "{threads:?}");
         assert!(
-            b.round_seconds < classic_b.round_seconds,
-            "pipelined {} !< classic {} at {threads:?}",
+            b.round_seconds < seq_b.round_seconds,
+            "pipelined {} !< sequential {} at {threads:?}",
             b.round_seconds,
-            classic_b.round_seconds
+            seq_b.round_seconds
         );
         match &pipelined_ref {
             None => pipelined_ref = Some(b),
