@@ -167,22 +167,17 @@ fn tree_compare(key_bits: u32, parties: usize, shards: usize) -> TreeRow {
         .collect();
     let ws = weights(parties);
 
-    let flat_acc = backend(BackendKind::FlBooster, key_bits, 4);
-    flat_acc.take_timing();
-    let flat = flat_acc
+    let (flat, flat_t) = backend(BackendKind::FlBooster, key_bits, 4)
         .aggregate_weighted(&vectors, &ws)
         .expect("flat aggregate");
-    let flat_t = flat_acc.take_timing();
 
     let topology = AggregationTopology::tree(TREE_ARITY);
     let tree_acc = backend(BackendKind::FlBooster, key_bits, 4)
         .with_topology(topology)
         .with_aggregation_shards(shards);
-    tree_acc.take_timing();
-    let tree = tree_acc
+    let (tree, tree_t) = tree_acc
         .aggregate_weighted(&vectors, &ws)
         .expect("tree aggregate");
-    let tree_t = tree_acc.take_timing();
 
     // Per-hop wire charges for the intermediate partial aggregates.
     let net = Network::new(tree_acc.network_profile(), 0x7EE);

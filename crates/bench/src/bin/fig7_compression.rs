@@ -35,7 +35,7 @@ fn main() {
 
         for &key_bits in &keys {
             let acc = backend(BackendKind::FlBooster, key_bits, PARTICIPANTS);
-            let enc = acc.encrypt(&values, 5).expect("encrypt");
+            let enc = acc.encrypt_timed(&values, 5).expect("encrypt").0;
             let measured = values.len() as f64 / enc.ciphertext_count() as f64;
             let r_bits = acc.codec().quantizer().config().r_bits;
             let theory = analysis::compression_ratio(n as u64, key_bits, r_bits, PARTICIPANTS);

@@ -93,10 +93,10 @@ fn main() {
                 let mut cells = Vec::new();
                 for backend_kind in BackendKind::headline() {
                     let acc = backend(backend_kind, key_bits, PARTICIPANTS);
-                    let enc = acc.encrypt(&values, 7).expect("encrypt");
-                    let agg = acc.aggregate(&[enc.clone(), enc]).expect("aggregate");
-                    let _ = acc.decrypt_sum(&agg, 2).expect("decrypt");
-                    let t = acc.timing();
+                    let (enc, enc_t) = acc.encrypt_timed(&values, 7).expect("encrypt");
+                    let (agg, agg_t) = acc.aggregate(&[enc.clone(), enc]).expect("aggregate");
+                    let (_, dec_t) = acc.decrypt_sum_timed(&agg, 2).expect("decrypt");
+                    let t = enc_t + agg_t + dec_t;
                     let measured = 2.0 * n as f64 / t.he_seconds;
                     let modeled = modeled_throughput(backend_kind, key_bits);
                     cells.push(format!("{measured:.0} / {modeled:.0}"));

@@ -25,11 +25,11 @@ use he::ghe::{CpuHe, GpuHe, HeTiming};
 use he::paillier::{Ciphertext, ObfuscatorPool, PaillierKeyPair};
 use he::HeBackend;
 use mpint::Natural;
-use parking_lot::Mutex;
 
+use crate::error::common_len;
 use crate::net::NetworkConfig;
 use crate::topology::AggregationTopology;
-use crate::Result;
+use crate::{Error, Result};
 
 /// Which acceleration system a backend instance embodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,7 +79,7 @@ impl BackendKind {
 }
 
 /// An encrypted gradient vector in flight.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EncryptedVector {
     /// Ciphertexts (packed words or one per value).
     pub cts: Vec<Ciphertext>,
@@ -100,17 +100,25 @@ impl EncryptedVector {
     }
 }
 
-/// Accumulated backend-side timing (simulated seconds).
+/// The simulated cost of one backend call. Every entry point returns
+/// its own; nothing accumulates inside the [`Accelerator`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AccelTiming {
     /// Simulated HE seconds.
     pub he_seconds: f64,
     /// Simulated encode/quantize/pack seconds.
     pub codec_seconds: f64,
-    /// HE operations (ciphertext-level).
-    pub he_items: u64,
-    /// Limb-level operations.
-    pub he_ops: u64,
+}
+
+impl std::ops::Add for AccelTiming {
+    type Output = AccelTiming;
+
+    fn add(self, next: AccelTiming) -> AccelTiming {
+        AccelTiming {
+            he_seconds: self.he_seconds + next.he_seconds,
+            codec_seconds: self.codec_seconds + next.codec_seconds,
+        }
+    }
 }
 
 /// Simulated cost of the per-value data conversion + encode/quantize/pack
@@ -133,7 +141,6 @@ pub struct Accelerator {
     topology: AggregationTopology,
     /// Shards per server/edge Straus pass (1 = the flat single chain).
     agg_shards: usize,
-    timing: Mutex<AccelTiming>,
     /// Blinding-factor pool for the FLBooster-family backends; the FATE
     /// and HAFLO baselines encrypt without pre-generation, as the
     /// systems they model do.
@@ -223,7 +230,6 @@ impl Accelerator {
             participants,
             topology: AggregationTopology::Flat,
             agg_shards: 1,
-            timing: Mutex::new(AccelTiming::default()),
             pool,
         })
     }
@@ -300,25 +306,12 @@ impl Accelerator {
     }
 
     /// Quantizes, packs (if enabled), and encrypts a gradient vector,
-    /// charging the cost to the shared accumulator. Equivalent to
-    /// [`Accelerator::encrypt_timed`] followed by
-    /// [`Accelerator::charge_accel`].
-    pub fn encrypt(&self, values: &[f64], seed: u64) -> Result<EncryptedVector> {
-        let (ev, t) = self.encrypt_timed(values, seed)?;
-        self.charge_accel(&t);
-        Ok(ev)
-    }
-
-    /// Quantizes, packs (if enabled), and encrypts a gradient vector,
-    /// returning this call's cost alongside the ciphertexts instead of
-    /// charging the shared accumulator.
+    /// returning this call's cost alongside the ciphertexts.
     ///
-    /// The round engine needs the *per-client* cost to lay client
-    /// encrypts out on its simulated timeline, and it runs client
-    /// encrypts concurrently on the work-stealing pool — a take-timing
-    /// dance around the shared [`Mutex`] accumulator would interleave
-    /// clients. Callers must charge the returned timing themselves (the
-    /// engine charges it to the epoch breakdown).
+    /// The round engine lays each client's returned cost out on its
+    /// simulated timeline, so client encrypts can run concurrently on
+    /// the work-stealing pool. Callers charge the returned timing
+    /// themselves, to an epoch breakdown.
     // flcheck: secret(values)
     // flcheck: det-sink — EncryptedVector construction
     pub fn encrypt_timed(
@@ -373,63 +366,68 @@ impl Accelerator {
     }
 
     /// Homomorphically folds several participants' vectors into one,
-    /// serially. Homomorphic addition is a product of canonical residues
-    /// mod `n²` — associative — so the sum and its `parties − 1` charged
+    /// serially, returning the sum and the cost of its `parties − 1`
+    /// additions. Homomorphic addition is a product of canonical
+    /// residues mod `n²` — associative — so the sum and its charged
     /// additions are the same under any [`topology`](Self::topology);
     /// where tree folds happen and what their hops cost is modeled by
     /// the round engine ([`crate::engine::run_round`]), which folds
-    /// through [`Accelerator::add_timed`].
+    /// through [`Accelerator::add_timed`] too.
+    ///
+    /// A vector whose count differs from vector 0's is reported as
+    /// [`Error::ShapeMismatch`] naming its index.
     // flcheck: det-sink — aggregate EncryptedVector construction
-    pub fn aggregate(&self, vectors: &[EncryptedVector]) -> Result<EncryptedVector> {
-        let mut iter = vectors.iter();
-        let first = match iter.next() {
-            Some(v) => v,
-            None => {
-                return Ok(EncryptedVector {
-                    cts: Vec::new(),
-                    count: 0,
-                })
-            }
+    pub fn aggregate(&self, vectors: &[EncryptedVector]) -> Result<(EncryptedVector, AccelTiming)> {
+        let mut timing = AccelTiming::default();
+        let sum = self.fold(vectors, &mut timing)?;
+        Ok((sum, timing))
+    }
+
+    /// Folds `vectors` through [`Accelerator::add_timed`], adding each
+    /// step's cost to `timing` in fold order.
+    fn fold(
+        &self,
+        vectors: &[EncryptedVector],
+        timing: &mut AccelTiming,
+    ) -> Result<EncryptedVector> {
+        common_len(vectors.iter().map(|v| v.count))?;
+        let Some((first, rest)) = vectors.split_first() else {
+            return Ok(EncryptedVector::default());
         };
-        let mut acc = first.cts.clone();
-        let count = first.count;
-        for v in iter {
-            // Protocol invariant: every party submits same-shaped vectors.
-            // flcheck: allow(pf-assert)
-            assert_eq!(v.count, count, "aggregating vectors of different sizes");
-            let (next, t) = self.he.add_batch(&self.keys.public, &acc, &v.cts)?;
-            self.charge(&t, 0);
-            acc = next;
-        }
-        Ok(EncryptedVector { cts: acc, count })
+        rest.iter().try_fold(first.clone(), |acc, v| {
+            let (sum, t) = self.add_timed(&acc, v)?;
+            *timing = *timing + t;
+            Ok(sum)
+        })
     }
 
     /// Weighted homomorphic aggregation: slot `j` of the result holds
-    /// `E(Σᵢ weights[i] · mᵢⱼ)`. One Straus multi-exponentiation per slot
-    /// replaces the per-party `scalar_mul` + `add` loop — a single
-    /// shared squaring chain for the whole batch (see
+    /// `E(Σᵢ weights[i] · mᵢⱼ)`, returned with the cost of the folds. One
+    /// Straus multi-exponentiation per slot replaces the per-party
+    /// `scalar_mul` + `add` loop — a single shared squaring chain for
+    /// the whole batch (see
     /// [`he::paillier::PaillierPublicKey::weighted_sum`]). Key identity
     /// is checked per ciphertext, so cross-key mixes fail loudly in
     /// release builds too.
+    ///
+    /// A weight count other than the vector count is reported as
+    /// [`Error::WeightCountMismatch`], and a vector whose count differs
+    /// from vector 0's as [`Error::ShapeMismatch`] naming its index.
     // flcheck: det-sink — weighted aggregate construction
     pub fn aggregate_weighted(
         &self,
         vectors: &[EncryptedVector],
         weights: &[u64],
-    ) -> Result<EncryptedVector> {
-        let count = match vectors.first() {
-            Some(v) => v.count,
-            None => {
-                return Ok(EncryptedVector {
-                    cts: Vec::new(),
-                    count: 0,
-                })
-            }
-        };
-        for v in vectors {
-            // Protocol invariant: every party submits same-shaped vectors.
-            // flcheck: allow(pf-assert)
-            assert_eq!(v.count, count, "aggregating vectors of different sizes");
+    ) -> Result<(EncryptedVector, AccelTiming)> {
+        if weights.len() != vectors.len() {
+            return Err(Error::WeightCountMismatch {
+                vectors: vectors.len(),
+                weights: weights.len(),
+            });
+        }
+        let count = common_len(vectors.iter().map(|v| v.count))?;
+        if vectors.is_empty() {
+            return Ok((EncryptedVector::default(), AccelTiming::default()));
         }
         let batches: Vec<Vec<Ciphertext>> = vectors.iter().map(|v| v.cts.clone()).collect();
         match self.topology {
@@ -445,24 +443,17 @@ impl Accelerator {
                     self.he
                         .weighted_aggregate(&self.keys.public, &batches, weights)?
                 };
-                self.charge(&t, 0);
-                Ok(EncryptedVector { cts, count })
+                Ok((EncryptedVector { cts, count }, Self::accel_timing(&t, 0)))
             }
             AggregationTopology::Tree { .. } => {
-                // Mirror the HE layer's shape contract before slicing.
-                // flcheck: allow(pf-assert)
-                assert_eq!(
-                    batches.len(),
-                    weights.len(),
-                    "weighted_aggregate requires one weight per batch"
-                );
                 // Edge aggregators: each folds its fan-in with a sharded
                 // Straus pass (the weighted stage happens exactly once,
                 // at the leaves — upper levels only add partials).
+                let mut timing = AccelTiming::default();
                 let mut level = Vec::new();
                 for g in self.topology.leaf_groups(batches.len()) {
                     // `leaf_groups` tiles `0..batches.len()`, which the
-                    // assert above pins to `weights.len()`.
+                    // check above pins to `weights.len()`.
                     // flcheck: allow(pf-index)
                     let group = &batches[g.clone()];
                     // flcheck: allow(pf-index)
@@ -473,7 +464,7 @@ impl Accelerator {
                         group_weights,
                         self.agg_shards,
                     )?;
-                    self.charge(&t, 0);
+                    timing = timing + Self::accel_timing(&t, 0);
                     level.push(EncryptedVector { cts, count });
                 }
                 while level.len() > 1 {
@@ -482,34 +473,33 @@ impl Accelerator {
                         .leaf_groups(level.len())
                         .into_iter()
                         // flcheck: allow(pf-index)
-                        .map(|g| self.aggregate(&level[g]))
+                        .map(|g| self.fold(&level[g], &mut timing))
                         .collect::<Result<Vec<_>>>()?;
                 }
-                match level.into_iter().next() {
-                    Some(v) => Ok(v),
-                    None => Ok(EncryptedVector {
-                        cts: Vec::new(),
-                        count: 0,
-                    }),
-                }
+                Ok((level.into_iter().next().unwrap_or_default(), timing))
             }
         }
     }
 
     /// One homomorphic addition of two same-shaped encrypted vectors,
-    /// returning the cost alongside the sum instead of charging the
-    /// shared accumulator. This is the streaming-fold step the round
-    /// engine performs each time a ciphertext arrives at an aggregator
-    /// node; the engine charges the returned timing itself.
+    /// returning the cost alongside the sum. This is the streaming-fold
+    /// step the round engine performs each time a ciphertext arrives at
+    /// an aggregator node. A `v` whose count differs from `acc`'s is
+    /// reported as [`Error::ShapeMismatch`] with `client` 1, its
+    /// position in the pair.
     // flcheck: det-sink — aggregate EncryptedVector construction
     pub fn add_timed(
         &self,
         acc: &EncryptedVector,
         v: &EncryptedVector,
     ) -> Result<(EncryptedVector, AccelTiming)> {
-        // Protocol invariant: every party submits same-shaped vectors.
-        // flcheck: allow(pf-assert)
-        assert_eq!(v.count, acc.count, "aggregating vectors of different sizes");
+        if v.count != acc.count {
+            return Err(Error::ShapeMismatch {
+                client: 1,
+                expected: acc.count,
+                got: v.count,
+            });
+        }
         let (cts, t) = self.he.add_batch(&self.keys.public, &acc.cts, &v.cts)?;
         Ok((
             EncryptedVector {
@@ -521,10 +511,7 @@ impl Accelerator {
     }
 
     /// Decrypts an aggregated vector whose slots hold sums of `terms`
-    /// contributions, returning the cost alongside the values instead of
-    /// charging the shared accumulator (see
-    /// [`Accelerator::encrypt_timed`] for why the round engine needs
-    /// uncharged variants).
+    /// contributions, returning the cost alongside the values.
     pub fn decrypt_sum_timed(
         &self,
         vector: &EncryptedVector,
@@ -548,68 +535,26 @@ impl Accelerator {
         Ok((values, timing))
     }
 
-    /// Decrypts an aggregated vector whose slots hold sums of `terms`
-    /// contributions, charging the cost to the shared accumulator.
-    pub fn decrypt_sum(&self, vector: &EncryptedVector, terms: u32) -> Result<Vec<f64>> {
-        let (values, t) = self.decrypt_sum_timed(vector, terms)?;
-        self.charge_accel(&t);
-        Ok(values)
-    }
-
-    /// Accumulated backend timing since the last [`Accelerator::take_timing`].
-    pub fn timing(&self) -> AccelTiming {
-        *self.timing.lock()
-    }
-
-    /// Returns and clears the accumulated timing.
-    pub fn take_timing(&self) -> AccelTiming {
-        std::mem::take(&mut self.timing.lock())
-    }
-
     /// GPU statistics, when this backend runs on the simulated device.
     pub fn device_stats(&self) -> Option<DeviceStats> {
         self.device.as_ref().map(|d| d.stats())
     }
 
     /// Converts an HE-layer timing plus a codec value count into the
-    /// accelerator's cost record without charging it anywhere.
+    /// accelerator's cost record.
     fn accel_timing(t: &HeTiming, values: usize) -> AccelTiming {
         AccelTiming {
             he_seconds: t.sim_seconds,
             codec_seconds: values as f64 * CODEC_SECONDS_PER_VALUE,
-            he_items: t.items,
-            he_ops: t.ops,
         }
-    }
-
-    /// Charges a cost record produced by one of the `*_timed` entry
-    /// points to the shared accumulator.
-    // flcheck: charge-sink
-    pub fn charge_accel(&self, t: &AccelTiming) {
-        let mut timing = self.timing.lock();
-        timing.he_seconds += t.he_seconds;
-        timing.he_items += t.he_items;
-        timing.he_ops += t.he_ops;
-        timing.codec_seconds += t.codec_seconds;
-    }
-
-    // flcheck: charge-sink
-    fn charge(&self, t: &HeTiming, values: usize) {
-        self.charge_accel(&Self::accel_timing(t, values));
     }
 
     /// Raw access to the HE engine, for protocols (e.g. SecureBoost's
     /// gradient-histogram building) that manage their own packing layout.
-    /// Callers must report timings back through
-    /// [`Accelerator::charge_external`].
+    /// Callers charge the returned [`HeTiming`] to their epoch breakdown
+    /// themselves.
     pub fn he_backend(&self) -> &dyn HeBackend {
         self.he.as_ref()
-    }
-
-    /// Charges timing produced by direct [`Accelerator::he_backend`] use.
-    // flcheck: charge-sink
-    pub fn charge_external(&self, t: &HeTiming, codec_values: usize) {
-        self.charge(t, codec_values);
     }
 }
 
@@ -641,8 +586,8 @@ mod tests {
             BackendKind::WithoutBc,
         ] {
             let acc = Accelerator::new(kind, keys.clone(), 4).unwrap();
-            let enc = acc.encrypt(&g, 7).unwrap();
-            let dec = acc.decrypt_sum(&enc, 1).unwrap();
+            let enc = acc.encrypt_timed(&g, 7).unwrap().0;
+            let dec = acc.decrypt_sum_timed(&enc, 1).unwrap().0;
             results.push(dec);
         }
         // Same quantizer everywhere => identical decoded values.
@@ -661,8 +606,8 @@ mod tests {
         let g = grads(64);
         let fate = Accelerator::new(BackendKind::Fate, keys.clone(), 4).unwrap();
         let boost = Accelerator::new(BackendKind::FlBooster, keys, 4).unwrap();
-        let ef = fate.encrypt(&g, 1).unwrap();
-        let eb = boost.encrypt(&g, 1).unwrap();
+        let ef = fate.encrypt_timed(&g, 1).unwrap().0;
+        let eb = boost.encrypt_timed(&g, 1).unwrap().0;
         assert_eq!(ef.ciphertext_count(), 64);
         assert!(
             eb.ciphertext_count() <= 64 / 3 + 1,
@@ -704,23 +649,13 @@ mod tests {
         let g = grads(128);
         let he_secs = |kind| {
             let acc = Accelerator::new(kind, keys.clone(), 4).unwrap();
-            acc.encrypt(&g, 1).unwrap();
-            acc.timing().he_seconds
+            acc.encrypt_timed(&g, 1).unwrap().1.he_seconds
         };
         let fate = he_secs(BackendKind::Fate);
         let haflo = he_secs(BackendKind::Haflo);
         let boost = he_secs(BackendKind::FlBooster);
         assert!(fate > haflo, "FATE {fate} !> HAFLO {haflo}");
         assert!(haflo > boost, "HAFLO {haflo} !> FLBooster {boost}");
-    }
-
-    #[test]
-    fn take_timing_resets() {
-        let acc = Accelerator::new(BackendKind::Fate, keys(), 4).unwrap();
-        acc.encrypt(&grads(4), 0).unwrap();
-        let t = acc.take_timing();
-        assert!(t.he_seconds > 0.0);
-        assert_eq!(acc.timing(), AccelTiming::default());
     }
 
     #[test]
@@ -731,7 +666,7 @@ mod tests {
             .device_stats()
             .is_none());
         let h = Accelerator::new(BackendKind::Haflo, keys, 4).unwrap();
-        h.encrypt(&grads(8), 0).unwrap();
+        h.encrypt_timed(&grads(8), 0).unwrap();
         let stats = h.device_stats().unwrap();
         assert_eq!(stats.launches, 1);
     }
@@ -750,13 +685,14 @@ mod tests {
     #[test]
     fn empty_aggregate_ok() {
         let acc = Accelerator::new(BackendKind::Fate, keys(), 4).unwrap();
-        let agg = acc.aggregate(&[]).unwrap();
+        let (agg, t) = acc.aggregate(&[]).unwrap();
         assert_eq!(agg.count, 0);
+        assert_eq!(t, AccelTiming::default());
         let tree = Accelerator::new(BackendKind::Fate, keys(), 4)
             .unwrap()
             .with_topology(AggregationTopology::tree(4));
-        assert_eq!(tree.aggregate(&[]).unwrap().count, 0);
-        assert_eq!(tree.aggregate_weighted(&[], &[]).unwrap().count, 0);
+        assert_eq!(tree.aggregate(&[]).unwrap().0.count, 0);
+        assert_eq!(tree.aggregate_weighted(&[], &[]).unwrap().0.count, 0);
     }
 
     #[test]
@@ -765,11 +701,11 @@ mod tests {
         let g = grads(10);
         let flat = Accelerator::new(BackendKind::Fate, keys.clone(), 4).unwrap();
         let vectors: Vec<EncryptedVector> = (0..11u64)
-            .map(|k| flat.encrypt(&g, 100 + k).unwrap())
+            .map(|k| flat.encrypt_timed(&g, 100 + k).unwrap().0)
             .collect();
         let weights: Vec<u64> = (0..11u64).map(|k| k * 31 + 1).collect();
-        let plain = flat.aggregate(&vectors).unwrap();
-        let weighted = flat.aggregate_weighted(&vectors, &weights).unwrap();
+        let plain = flat.aggregate(&vectors).unwrap().0;
+        let weighted = flat.aggregate_weighted(&vectors, &weights).unwrap().0;
         for arity in [2usize, 4, 16] {
             for shards in [1usize, 3] {
                 let acc = Accelerator::new(BackendKind::Fate, keys.clone(), 4)
@@ -779,9 +715,9 @@ mod tests {
                 assert_eq!(acc.topology(), AggregationTopology::tree(arity));
                 assert_eq!(acc.aggregation_shards(), shards);
                 // Ciphertext-level equality: canonical residues mod n².
-                assert_eq!(acc.aggregate(&vectors).unwrap(), plain, "arity {arity}");
+                assert_eq!(acc.aggregate(&vectors).unwrap().0, plain, "arity {arity}");
                 assert_eq!(
-                    acc.aggregate_weighted(&vectors, &weights).unwrap(),
+                    acc.aggregate_weighted(&vectors, &weights).unwrap().0,
                     weighted,
                     "arity {arity} shards {shards}"
                 );
@@ -792,8 +728,55 @@ mod tests {
             .unwrap()
             .with_aggregation_shards(4);
         assert_eq!(
-            sharded.aggregate_weighted(&vectors, &weights).unwrap(),
+            sharded.aggregate_weighted(&vectors, &weights).unwrap().0,
             weighted
         );
+    }
+
+    /// Three same-key vectors of 4, 4 and 3 values.
+    fn ragged(acc: &Accelerator) -> Vec<EncryptedVector> {
+        [4, 4, 3]
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| acc.encrypt_timed(&grads(n), k as u64).unwrap().0)
+            .collect()
+    }
+
+    const RAGGED: &str = "client 2 sent 3 values but the round expects 4";
+
+    #[test]
+    fn aggregate_names_the_mismatched_vector() {
+        let acc = Accelerator::new(BackendKind::Fate, keys(), 4).unwrap();
+        let err = acc.aggregate(&ragged(&acc)).unwrap_err();
+        assert_eq!(err.to_string(), RAGGED);
+    }
+
+    #[test]
+    fn add_timed_names_its_second_operand() {
+        let acc = Accelerator::new(BackendKind::Fate, keys(), 4).unwrap();
+        let v = ragged(&acc);
+        let err = acc.add_timed(&v[0], &v[2]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "client 1 sent 3 values but the round expects 4"
+        );
+    }
+
+    #[test]
+    fn aggregate_weighted_names_the_mismatched_vector_and_weight_count() {
+        for topology in [AggregationTopology::Flat, AggregationTopology::tree(2)] {
+            let acc = Accelerator::new(BackendKind::Fate, keys(), 4)
+                .unwrap()
+                .with_topology(topology);
+            let v = ragged(&acc);
+            let err = acc.aggregate_weighted(&v, &[1, 2, 3]).unwrap_err();
+            assert_eq!(err.to_string(), RAGGED, "{topology:?}");
+            let err = acc.aggregate_weighted(&v[..2], &[1, 2, 3]).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "weighted aggregation got 3 weights for 2 client vectors",
+                "{topology:?}"
+            );
+        }
     }
 }

@@ -76,7 +76,7 @@ use std::collections::BinaryHeap;
 use rayon::prelude::*;
 
 use crate::backend::EncryptedVector;
-use crate::metrics::EpochBreakdown;
+use crate::metrics::{Charger, EpochBreakdown, Phase};
 use crate::net::LinkSchedule;
 use crate::train::{FlEnv, TrainConfig};
 use crate::{Error, Result};
@@ -241,69 +241,6 @@ impl RoundOutcome {
     }
 }
 
-/// Which pipeline phase a charge belongs to.
-#[derive(Debug, Clone, Copy)]
-enum Phase {
-    Compute,
-    Encrypt,
-    Uplink,
-    Aggregate,
-    Downlink,
-    Decrypt,
-}
-
-/// Routes every simulated second to its component (HE / comm / other),
-/// its pipeline phase, and — in sequential mode — straight into
-/// `round_seconds`, one add per charge.
-struct Charger<'a> {
-    breakdown: &'a mut EpochBreakdown,
-    sequential: bool,
-    /// Total work charged (the sequential-mode elapsed time).
-    work: f64,
-}
-
-impl Charger<'_> {
-    // flcheck: charge-sink
-    fn he(&mut self, seconds: f64, phase: Phase) {
-        self.breakdown.he_seconds += seconds;
-        self.attribute(seconds, phase);
-    }
-
-    // flcheck: charge-sink
-    fn comm(&mut self, seconds: f64, phase: Phase) {
-        self.breakdown.comm_seconds += seconds;
-        self.attribute(seconds, phase);
-    }
-
-    // flcheck: charge-sink
-    fn other(&mut self, seconds: f64, phase: Phase) {
-        self.breakdown.other_seconds += seconds;
-        self.attribute(seconds, phase);
-    }
-
-    // flcheck: charge-sink
-    fn wire(&mut self, bytes: u64, ciphertexts: u64) {
-        self.breakdown.comm_bytes += bytes;
-        self.breakdown.ciphertexts += ciphertexts;
-    }
-
-    fn attribute(&mut self, seconds: f64, phase: Phase) {
-        let slot = match phase {
-            Phase::Compute => &mut self.breakdown.phases.compute_seconds,
-            Phase::Encrypt => &mut self.breakdown.phases.encrypt_seconds,
-            Phase::Uplink => &mut self.breakdown.phases.uplink_seconds,
-            Phase::Aggregate => &mut self.breakdown.phases.aggregate_seconds,
-            Phase::Downlink => &mut self.breakdown.phases.downlink_seconds,
-            Phase::Decrypt => &mut self.breakdown.phases.decrypt_seconds,
-        };
-        *slot += seconds;
-        self.work += seconds;
-        if self.sequential {
-            self.breakdown.round_seconds += seconds;
-        }
-    }
-}
-
 /// Who delivered a ciphertext to an aggregator node.
 #[derive(Debug, Clone, Copy)]
 enum Source {
@@ -427,24 +364,12 @@ pub fn run_round(
             client_flops.len()
         )));
     }
-    let expected = parties[0].len();
-    if let Some((client, v)) = parties
-        .iter()
-        .enumerate()
-        .find(|(_, v)| v.len() != expected)
-    {
-        return Err(Error::ShapeMismatch {
-            client,
-            expected,
-            got: v.len(),
-        });
-    }
+    let expected = crate::error::common_len(parties.iter().map(Vec::len))?;
 
     // --- Real work, phase 1: every client encrypts on the pool. ---
     // Order-preserving parallel map: ciphertexts are a deterministic
     // function of (values, seed), so the vector is thread-count
-    // invariant. Timings come back per client instead of through the
-    // shared accumulator.
+    // invariant. Each client's timing comes back with its ciphertexts.
     let encrypted: Vec<Result<_>> = parties
         .par_iter()
         .enumerate()
@@ -491,11 +416,7 @@ pub fn run_round(
     }
     let n = survivors.len() as f64;
 
-    let mut charger = Charger {
-        breakdown,
-        sequential: !engine.pipelined,
-        work: 0.0,
-    };
+    let mut charger = Charger::new(breakdown, !engine.pipelined);
 
     // --- Client-side charges: survivor means (clients are symmetric
     // and run on their own machines). ---
@@ -510,7 +431,7 @@ pub fn run_round(
     charger.other(flops_sum / n * cfg.sec_per_flop, Phase::Compute);
     charger.he(enc_he_sum / n, Phase::Encrypt);
     charger.other(enc_codec_sum / n, Phase::Encrypt);
-    charger.breakdown.he_values += expected as u64;
+    charger.he_values(expected as u64);
 
     // --- Uplink costs, charged in client index order (the network's
     // drop-retry randomness, when enabled, consumes its stream in the
@@ -707,13 +628,12 @@ pub fn run_round(
     }
 
     let round_seconds = if engine.pipelined {
-        last_downlink + decrypt_dur
+        let critical_path = last_downlink + decrypt_dur;
+        charger.elapsed(critical_path);
+        critical_path
     } else {
-        charger.work
+        charger.work()
     };
-    if engine.pipelined {
-        charger.breakdown.round_seconds += round_seconds;
-    }
 
     Ok(RoundOutcome {
         sums,

@@ -30,9 +30,10 @@ pub enum Error {
         /// Zero-based index of the first client dropped from the round.
         client: usize,
     },
-    /// A client's vector in a secure-aggregation round differs in length
-    /// from client 0's. Rejected before anything is encrypted or charged;
-    /// the variant names the first offending client.
+    /// A client's vector in a secure-aggregation round, or an encrypted
+    /// vector handed to an `Accelerator` fold, differs in length from
+    /// client 0's. Rejected before anything is encrypted, folded or
+    /// charged; the variant names the first offending client.
     ShapeMismatch {
         /// Zero-based index of the first client whose length differs.
         client: usize,
@@ -40,6 +41,14 @@ pub enum Error {
         expected: usize,
         /// Length the offending client sent.
         got: usize,
+    },
+    /// A weighted aggregation was given a weight count other than its
+    /// vector count. Rejected before any ciphertext is folded.
+    WeightCountMismatch {
+        /// Client vectors to aggregate.
+        vectors: usize,
+        /// Weights supplied.
+        weights: usize,
     },
 }
 
@@ -66,7 +75,27 @@ impl fmt::Display for Error {
                 f,
                 "client {client} sent {got} values but the round expects {expected}"
             ),
+            Error::WeightCountMismatch { vectors, weights } => write!(
+                f,
+                "weighted aggregation got {weights} weights for {vectors} client vectors"
+            ),
         }
+    }
+}
+
+/// The length every item shares, taken from item 0 (0 when there are
+/// none), or a [`Error::ShapeMismatch`] naming the first item whose
+/// length differs.
+pub(crate) fn common_len(lens: impl IntoIterator<Item = usize>) -> Result<usize> {
+    let mut lens = lens.into_iter().enumerate();
+    let expected = lens.next().map_or(0, |(_, n)| n);
+    match lens.find(|&(_, n)| n != expected) {
+        Some((client, got)) => Err(Error::ShapeMismatch {
+            client,
+            expected,
+            got,
+        }),
+        None => Ok(expected),
     }
 }
 

@@ -146,6 +146,103 @@ impl EpochBreakdown {
     }
 }
 
+/// Which pipeline phase a charge belongs to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Phase {
+    Compute,
+    Encrypt,
+    Uplink,
+    Aggregate,
+    Downlink,
+    Decrypt,
+}
+
+/// The one way simulated seconds enter an [`EpochBreakdown`]: each
+/// charge goes to its component (HE / comm / other), to exactly one
+/// pipeline phase, and — when sequential — straight into
+/// `round_seconds`, one add per charge. The backend's `*_timed` entry
+/// points return their cost and accumulate nothing; callers charge it
+/// here.
+pub(crate) struct Charger<'a> {
+    breakdown: &'a mut EpochBreakdown,
+    sequential: bool,
+    /// Total work charged (the sequential-mode elapsed time).
+    work: f64,
+}
+
+impl<'a> Charger<'a> {
+    /// A charger over `breakdown`; with `sequential` off, elapsed time
+    /// is left to one [`Charger::elapsed`] call.
+    pub(crate) fn new(breakdown: &'a mut EpochBreakdown, sequential: bool) -> Self {
+        Charger {
+            breakdown,
+            sequential,
+            work: 0.0,
+        }
+    }
+
+    /// A charger for work that does not overlap: elapsed equals work.
+    pub(crate) fn sequential(breakdown: &'a mut EpochBreakdown) -> Self {
+        Self::new(breakdown, true)
+    }
+
+    /// Total work charged through this charger.
+    pub(crate) fn work(&self) -> f64 {
+        self.work
+    }
+
+    // flcheck: charge-sink
+    pub(crate) fn he(&mut self, seconds: f64, phase: Phase) {
+        self.breakdown.he_seconds += seconds;
+        self.attribute(seconds, phase);
+    }
+
+    // flcheck: charge-sink
+    pub(crate) fn comm(&mut self, seconds: f64, phase: Phase) {
+        self.breakdown.comm_seconds += seconds;
+        self.attribute(seconds, phase);
+    }
+
+    // flcheck: charge-sink
+    pub(crate) fn other(&mut self, seconds: f64, phase: Phase) {
+        self.breakdown.other_seconds += seconds;
+        self.attribute(seconds, phase);
+    }
+
+    // flcheck: charge-sink
+    pub(crate) fn wire(&mut self, bytes: u64, ciphertexts: u64) {
+        self.breakdown.comm_bytes += bytes;
+        self.breakdown.ciphertexts += ciphertexts;
+    }
+
+    /// Counts gradient components that passed through HE.
+    pub(crate) fn he_values(&mut self, values: u64) {
+        self.breakdown.he_values += values;
+    }
+
+    /// Records a pipelined round's critical path. Sequential chargers
+    /// already advanced `round_seconds` charge by charge.
+    pub(crate) fn elapsed(&mut self, seconds: f64) {
+        self.breakdown.round_seconds += seconds;
+    }
+
+    fn attribute(&mut self, seconds: f64, phase: Phase) {
+        let slot = match phase {
+            Phase::Compute => &mut self.breakdown.phases.compute_seconds,
+            Phase::Encrypt => &mut self.breakdown.phases.encrypt_seconds,
+            Phase::Uplink => &mut self.breakdown.phases.uplink_seconds,
+            Phase::Aggregate => &mut self.breakdown.phases.aggregate_seconds,
+            Phase::Downlink => &mut self.breakdown.phases.downlink_seconds,
+            Phase::Decrypt => &mut self.breakdown.phases.decrypt_seconds,
+        };
+        *slot += seconds;
+        self.work += seconds;
+        if self.sequential {
+            self.breakdown.round_seconds += seconds;
+        }
+    }
+}
+
 /// One epoch's outcome.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochResult {

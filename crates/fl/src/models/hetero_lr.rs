@@ -275,6 +275,54 @@ mod tests {
     }
 
     #[test]
+    fn hetero_lr_epoch_matches_the_golden_breakdown() {
+        // One three-party FLBooster epoch: secure score sums on the round
+        // engine, encrypted residual and gradient exchanges, and local
+        // compute. Every f64 is pinned to its bits, so any change to what
+        // is charged, or to the order the charges are summed in, shows.
+        use crate::metrics::PhaseBreakdown;
+
+        let data = small_dataset();
+        let cfg = TrainConfig {
+            batch_size: 128,
+            ..TrainConfig::default()
+        };
+        let env = env(BackendKind::FlBooster);
+        let mut model = HeteroLr::new(&data, 3, &cfg).unwrap();
+        let b = model.run_epoch(&env, &cfg, 0).unwrap().breakdown;
+
+        let golden = EpochBreakdown {
+            he_seconds: f64::from_bits(0x3ed9_1f73_9e84_1026),
+            comm_seconds: f64::from_bits(0x3fb3_b33b_7007_68c5),
+            other_seconds: f64::from_bits(0x3f83_fc33_0e41_ae98),
+            comm_bytes: 26702,
+            ciphertexts: 835,
+            he_values: 972,
+            phases: PhaseBreakdown {
+                compute_seconds: f64::from_bits(0x3f04_1ebd_51d1_fc2d),
+                encrypt_seconds: f64::from_bits(0x3f73_e947_643f_4592),
+                uplink_seconds: f64::from_bits(0x3fa9_6855_28fc_4d99),
+                aggregate_seconds: f64::from_bits(0x3e80_4314_935a_4686),
+                downlink_seconds: f64::from_bits(0x3f9b_fc43_6e25_07dd),
+                decrypt_seconds: f64::from_bits(0x3f73_ed08_945e_edf7),
+            },
+            round_seconds: f64::from_bits(0x3fb6_3326_4f9e_18a5),
+        };
+        assert_eq!(b, golden);
+        assert_eq!(
+            env.network.stats(),
+            crate::net::NetStats {
+                messages: 33,
+                ciphertexts: 835,
+                bytes: 26702,
+                seconds: f64::from_bits(0x3fb3_b33b_7007_68c4),
+                retries: 0,
+            }
+        );
+        assert_eq!(model.loss().to_bits(), 0x3fe0_902c_13de_5e64);
+    }
+
+    #[test]
     fn a_straggling_party_fails_the_round_instead_of_being_dropped() {
         // Party 1 computes a million times slower than the others, so it
         // alone misses a one-second deadline. Homo LR would average over

@@ -27,7 +27,7 @@ use he::paillier::Ciphertext;
 use mpint::Natural;
 
 use crate::data::{vertical_split, Dataset, VerticalShard};
-use crate::metrics::{EpochBreakdown, EpochResult};
+use crate::metrics::{Charger, EpochBreakdown, EpochResult, Phase};
 use crate::train::{logloss, sigmoid, FlEnv, FlModel, TrainConfig};
 use crate::{Error, Result};
 
@@ -322,17 +322,11 @@ impl FlModel for HeteroSbt {
         let (gh_cts, t) = he
             .encrypt_batch(pk, &plaintexts, seed)
             .map_err(flbooster_core::Error::from)?;
-        // Direct he_backend() use must report back, or the accelerator's
-        // own timing accumulator misses every SBT HE operation.
-        env.accel.charge_external(&t, plaintexts.len());
-        breakdown.he_seconds += t.sim_seconds;
-        breakdown.phases.encrypt_seconds += t.sim_seconds;
-        breakdown.round_seconds += t.sim_seconds;
-        breakdown.he_values += 2 * n as u64;
+        let mut charge = Charger::sequential(&mut breakdown);
+        charge.he(t.sim_seconds, Phase::Encrypt);
+        charge.he_values(2 * n as u64);
         let encode_t = n as f64 * 4.0e-8; // encode/pack
-        breakdown.other_seconds += encode_t;
-        breakdown.phases.encrypt_seconds += encode_t;
-        breakdown.round_seconds += encode_t;
+        charge.other(encode_t, Phase::Encrypt);
 
         let gh_bytes: u64 = gh_cts.iter().map(|c| c.wire_size_bytes() as u64).sum();
         let passive = self.shards.len().saturating_sub(1) as u32;
@@ -340,11 +334,11 @@ impl FlModel for HeteroSbt {
             let t = env
                 .network
                 .broadcast(passive, gh_cts.len() as u64, gh_bytes)?;
-            breakdown.comm_seconds += t;
-            breakdown.phases.downlink_seconds += t;
-            breakdown.round_seconds += t;
-            breakdown.comm_bytes += passive as u64 * gh_bytes;
-            breakdown.ciphertexts += passive as u64 * gh_cts.len() as u64;
+            charge.comm(t, Phase::Downlink);
+            charge.wire(
+                passive as u64 * gh_bytes,
+                passive as u64 * gh_cts.len() as u64,
+            );
         }
 
         // Per-instance ciphertext accessors (packed: one ct; plain: two).
@@ -474,29 +468,21 @@ impl HeteroSbt {
                 let (folded, t) = he
                     .fold_groups(pk, &groups)
                     .map_err(flbooster_core::Error::from)?;
-                env.accel.charge_external(&t, 0);
-                breakdown.he_seconds += t.sim_seconds;
-                breakdown.phases.aggregate_seconds += t.sim_seconds;
-                breakdown.round_seconds += t.sim_seconds;
+                let mut charge = Charger::sequential(breakdown);
+                charge.he(t.sim_seconds, Phase::Aggregate);
 
                 // Bucket sums travel back to the active party...
                 let bytes: u64 = folded.iter().map(|c| c.wire_size_bytes() as u64).sum();
                 let ts = env.network.send(folded.len() as u64, bytes)?;
-                breakdown.comm_seconds += ts;
-                breakdown.phases.uplink_seconds += ts;
-                breakdown.round_seconds += ts;
-                breakdown.comm_bytes += bytes;
-                breakdown.ciphertexts += folded.len() as u64;
+                charge.comm(ts, Phase::Uplink);
+                charge.wire(bytes, folded.len() as u64);
 
                 // ...where they are decrypted and decoded.
                 let (words, t) = he
                     .decrypt_batch(sk, &folded)
                     .map_err(flbooster_core::Error::from)?;
-                env.accel.charge_external(&t, words.len());
-                breakdown.he_seconds += t.sim_seconds;
-                breakdown.phases.decrypt_seconds += t.sim_seconds;
-                breakdown.round_seconds += t.sim_seconds;
-                breakdown.he_values += (features.len() * self.bins * 2) as u64;
+                charge.he(t.sim_seconds, Phase::Decrypt);
+                charge.he_values((features.len() * self.bins * 2) as u64);
 
                 for (fi, per_bin) in bucket_members.iter().enumerate() {
                     for (b, bucket) in per_bin.iter().enumerate() {
@@ -698,32 +684,74 @@ mod tests {
         assert!(b.he_values >= 2 * 150);
     }
 
-    #[test]
-    fn direct_he_backend_use_reports_into_accelerator_timing() {
-        // SBT drives the HE engine through `he_backend()` directly; each
-        // site must report back via `charge_external`, or the
-        // accelerator's own accumulator misses every SBT HE operation
-        // while the breakdown still looks complete (the unit-flow audit
-        // caught exactly this).
+    /// One boosting round on `kind`, pinned bit for bit: its breakdown
+    /// (SBT's encrypt, fold and decrypt charges included), network
+    /// counters and loss.
+    fn assert_golden_epoch(kind: BackendKind, golden: EpochBreakdown, net_seconds: u64) {
         let data = small_dataset();
         let cfg = TrainConfig::default();
-        let env = env(BackendKind::FlBooster);
+        let env = env(kind);
         let mut model = HeteroSbt::new(&data, 3, &cfg).unwrap();
         let b = model.run_epoch(&env, &cfg, 0).unwrap().breakdown;
-        let t = env.accel.timing();
-        assert!(
-            t.he_seconds > 0.0,
-            "direct he_backend() work never reached Accelerator::timing()"
+        assert_eq!(b, golden, "{kind:?}");
+        assert_eq!(
+            env.network.stats(),
+            crate::net::NetStats {
+                messages: 16,
+                ciphertexts: golden.ciphertexts,
+                bytes: golden.comm_bytes,
+                seconds: f64::from_bits(net_seconds),
+                retries: 0,
+            },
+            "{kind:?}"
         );
-        assert!(t.he_ops > 0 && t.he_items > 0);
-        // The accumulator mirrors what the epoch charged into the
-        // breakdown: encrypt + fold + decrypt, nothing double-counted.
-        assert!(
-            t.he_seconds <= b.he_seconds + 1e-12,
-            "accumulator {} exceeds breakdown HE time {}",
-            t.he_seconds,
-            b.he_seconds
-        );
+        assert_eq!(model.loss().to_bits(), 0x3fe1_e094_e3b4_5a9a, "{kind:?}");
+    }
+
+    #[test]
+    fn fate_epoch_matches_the_golden_breakdown() {
+        use crate::metrics::PhaseBreakdown;
+        let golden = EpochBreakdown {
+            he_seconds: f64::from_bits(0x3f6f_5049_bbd8_2a47),
+            comm_seconds: f64::from_bits(0x3fe5_a7fd_4e63_aa0c),
+            other_seconds: f64::from_bits(0x3f14_21f5_f40d_8378),
+            comm_bytes: 44566,
+            ciphertexts: 1496,
+            he_values: 1196,
+            phases: PhaseBreakdown {
+                compute_seconds: f64::from_bits(0x3f12_8f4e_bcfc_7532),
+                encrypt_seconds: f64::from_bits(0x3f56_4693_6247_f3b5),
+                uplink_seconds: f64::from_bits(0x3fd9_ff3a_d58b_59b1),
+                aggregate_seconds: f64::from_bits(0x3f46_a634_b28f_33e6),
+                downlink_seconds: f64::from_bits(0x3fd1_50bf_c73b_fa69),
+                decrypt_seconds: f64::from_bits(0x3f5d_2010_2f91_d7c8),
+            },
+            round_seconds: f64::from_bits(0x3fe5_c7ee_a7cf_22a1),
+        };
+        assert_golden_epoch(BackendKind::Fate, golden, 0x3fe5_a7fd_4e63_aa0c);
+    }
+
+    #[test]
+    fn flbooster_epoch_matches_the_golden_breakdown() {
+        use crate::metrics::PhaseBreakdown;
+        let golden = EpochBreakdown {
+            he_seconds: f64::from_bits(0x3eec_425a_1c2d_a095),
+            comm_seconds: f64::from_bits(0x3fb0_f327_c42e_0692),
+            other_seconds: f64::from_bits(0x3f14_21f5_f40d_8378),
+            comm_bytes: 22282,
+            ciphertexts: 748,
+            he_values: 1196,
+            phases: PhaseBreakdown {
+                compute_seconds: f64::from_bits(0x3f12_8f4e_bcfc_7532),
+                encrypt_seconds: f64::from_bits(0x3ee5_6557_72ad_9c83),
+                uplink_seconds: f64::from_bits(0x3fa4_c0cf_3d95_61d1),
+                aggregate_seconds: f64::from_bits(0x3ec8_094c_c7be_56b8),
+                downlink_seconds: f64::from_bits(0x3f9a_4b00_958d_56a7),
+                decrypt_seconds: f64::from_bits(0x3eda_dfd2_6031_c113),
+            },
+            round_seconds: f64::from_bits(0x3fb0_f912_547b_eb62),
+        };
+        assert_golden_epoch(BackendKind::FlBooster, golden, 0x3fb0_f327_c42e_0692);
     }
 
     #[test]

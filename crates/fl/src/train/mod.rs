@@ -12,7 +12,7 @@
 
 use crate::backend::Accelerator;
 use crate::engine::EngineConfig;
-use crate::metrics::{EpochBreakdown, EpochResult, TrainReport};
+use crate::metrics::{Charger, EpochBreakdown, EpochResult, Phase, TrainReport};
 use crate::net::Network;
 use crate::Result;
 
@@ -83,35 +83,21 @@ impl FlEnv {
         seed: u64,
         breakdown: &mut EpochBreakdown,
     ) -> Result<Vec<f64>> {
-        self.accel.take_timing(); // drop any stale scratch
-        let ev = self.accel.encrypt(values, seed)?;
-        let enc_t = self.accel.take_timing();
-        breakdown.he_seconds += enc_t.he_seconds;
-        breakdown.other_seconds += enc_t.codec_seconds;
-        breakdown.phases.encrypt_seconds += enc_t.he_seconds;
-        breakdown.phases.encrypt_seconds += enc_t.codec_seconds;
-        breakdown.round_seconds += enc_t.he_seconds;
-        breakdown.round_seconds += enc_t.codec_seconds;
+        let (ev, enc_t) = self.accel.encrypt_timed(values, seed)?;
+        let mut charge = Charger::sequential(breakdown);
+        charge.he(enc_t.he_seconds, Phase::Encrypt);
+        charge.other(enc_t.codec_seconds, Phase::Encrypt);
         let t = self.network.send(ev.ciphertext_count(), ev.bytes())?;
-        breakdown.comm_seconds += t;
-        breakdown.phases.uplink_seconds += t;
-        breakdown.round_seconds += t;
-        breakdown.comm_bytes += ev.bytes();
-        breakdown.ciphertexts += ev.ciphertext_count();
-        let out = self.accel.decrypt_sum(&ev, 1)?;
-        let dec_t = self.accel.take_timing();
-        breakdown.he_seconds += dec_t.he_seconds;
-        breakdown.other_seconds += dec_t.codec_seconds;
-        breakdown.phases.decrypt_seconds += dec_t.he_seconds;
-        breakdown.phases.decrypt_seconds += dec_t.codec_seconds;
-        breakdown.round_seconds += dec_t.he_seconds;
-        breakdown.round_seconds += dec_t.codec_seconds;
-        breakdown.he_values += values.len() as u64;
+        charge.comm(t, Phase::Uplink);
+        charge.wire(ev.bytes(), ev.ciphertext_count());
+        let (out, dec_t) = self.accel.decrypt_sum_timed(&ev, 1)?;
+        charge.he(dec_t.he_seconds, Phase::Decrypt);
+        charge.other(dec_t.codec_seconds, Phase::Decrypt);
+        charge.he_values(values.len() as u64);
         Ok(out)
     }
 
     /// Charges `flops` of local model computation to "Others".
-    // flcheck: charge-sink
     pub fn charge_local_compute(
         &self,
         flops: u64,
@@ -119,9 +105,7 @@ impl FlEnv {
         breakdown: &mut EpochBreakdown,
     ) {
         let seconds = flops as f64 * cfg.sec_per_flop;
-        breakdown.other_seconds += seconds;
-        breakdown.phases.compute_seconds += seconds;
-        breakdown.round_seconds += seconds;
+        Charger::sequential(breakdown).other(seconds, Phase::Compute);
     }
 }
 

@@ -210,7 +210,7 @@ proptest! {
             .unwrap()
             .with_topology(fl::AggregationTopology::tree(ARITIES[arity_sel]))
             .with_aggregation_shards(SHARDS[shard_sel]);
-        let agg = tree.aggregate_weighted(&vectors, &weights).unwrap();
+        let (agg, _) = tree.aggregate_weighted(&vectors, &weights).unwrap();
         for (j, ct) in agg.cts.iter().enumerate() {
             let expected: u64 = (0..parties).map(|p| weights[p] * plain[p][j]).sum();
             prop_assert_eq!(k.private.decrypt(ct).unwrap(), mpint::Natural::from(expected));

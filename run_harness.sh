@@ -27,6 +27,16 @@ if ! RUSTFLAGS="-D warnings" cargo build --workspace --release 2>&1 | tail -20; 
   exit 1
 fi
 
+# Benchmark build gate: perfbench is a package of its own that calls the
+# backend's timed entry points, `he_backend` and `EpochBreakdown.phases`.
+# An API change that breaks it must fail here, in both tiers.
+echo "=== build: perfbench ==="
+if ! cargo build --release --offline --manifest-path perfbench/Cargo.toml \
+    --target-dir .bench_build 2>&1 | tail -20; then
+  echo "HARNESS_FAILED: perfbench build"
+  exit 1
+fi
+
 # run_as OUT BIN ARGS...: runs BIN and tees its output to results/OUT.txt.
 run_as() {
   out=$1; name=$2; shift 2

@@ -136,10 +136,10 @@ fn haflo_measured(keys: &PaillierKeyPair) -> f64 {
     let values: Vec<f64> = (0..HAFLO_VALUES)
         .map(|i| ((i as f64) * 0.61).sin() * 0.9)
         .collect();
-    let enc = acc.encrypt(&values, 7).expect("encrypt");
-    let agg = acc.aggregate(&[enc.clone(), enc]).expect("aggregate");
-    let _ = acc.decrypt_sum(&agg, 2).expect("decrypt");
-    2.0 * HAFLO_VALUES as f64 / acc.timing().he_seconds
+    let (enc, enc_t) = acc.encrypt_timed(&values, 7).expect("encrypt");
+    let (agg, agg_t) = acc.aggregate(&[enc.clone(), enc]).expect("aggregate");
+    let (_, dec_t) = acc.decrypt_sum_timed(&agg, 2).expect("decrypt");
+    2.0 * HAFLO_VALUES as f64 / (enc_t + agg_t + dec_t).he_seconds
 }
 
 struct Row {

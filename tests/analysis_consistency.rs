@@ -23,7 +23,7 @@ fn measured_compression_matches_eq11_within_headroom_slot() {
         let acc = Accelerator::new(BackendKind::FlBooster, keys(key_bits), 4).unwrap();
         let n = 200usize;
         let values: Vec<f64> = (0..n).map(|i| (i as f64 * 0.004) - 0.4).collect();
-        let enc = acc.encrypt(&values, 1).unwrap();
+        let enc = acc.encrypt_timed(&values, 1).unwrap().0;
         let measured = n as f64 / enc.ciphertext_count() as f64;
         let r_bits = acc.codec().quantizer().config().r_bits;
         let bound = analysis::compression_ratio(n as u64, key_bits, r_bits, 4);
@@ -51,8 +51,8 @@ fn ac_bc_equals_he_operation_reduction() {
     let values: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.05).sin() * 0.5).collect();
     let with_bc = Accelerator::new(BackendKind::FlBooster, shared.clone(), 4).unwrap();
     let without = Accelerator::new(BackendKind::WithoutBc, shared, 4).unwrap();
-    let e1 = with_bc.encrypt(&values, 1).unwrap();
-    let e2 = without.encrypt(&values, 1).unwrap();
+    let e1 = with_bc.encrypt_timed(&values, 1).unwrap().0;
+    let e2 = without.encrypt_timed(&values, 1).unwrap().0;
     let measured_ac = e2.ciphertext_count() as f64 / e1.ciphertext_count() as f64;
     let measured_ratio = n as f64 / e1.ciphertext_count() as f64;
     assert!((measured_ac - measured_ratio).abs() < 1e-9);
@@ -141,7 +141,7 @@ fn flbooster_manager_beats_haflo_fixed_blocks_at_large_keys() {
     let mut utils = Vec::new();
     for kind in [BackendKind::Haflo, BackendKind::WithoutBc] {
         let acc = Accelerator::new(kind, shared.clone(), 4).unwrap();
-        acc.encrypt(&values, 3).unwrap();
+        acc.encrypt_timed(&values, 3).unwrap();
         utils.push(acc.device_stats().unwrap().mean_sm_utilization());
     }
     assert!(
@@ -162,8 +162,7 @@ fn total_acceleration_is_product_of_modules() {
     let values: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.02).cos() * 0.6).collect();
     let he_secs = |kind: BackendKind| {
         let acc = Accelerator::new(kind, shared.clone(), 4).unwrap();
-        acc.encrypt(&values, 1).unwrap();
-        acc.timing().he_seconds
+        acc.encrypt_timed(&values, 1).unwrap().1.he_seconds
     };
     let fate = he_secs(BackendKind::Fate);
     let wo_bc = he_secs(BackendKind::WithoutBc);

@@ -309,6 +309,7 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
                     .with_aggregation_shards(3);
                 acc.aggregate_weighted(&vectors, &weights)
                     .expect("tree")
+                    .0
                     .cts
                     .iter()
                     .map(|c| c.value.clone())

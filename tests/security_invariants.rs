@@ -23,8 +23,8 @@ fn ciphertexts_are_semantically_hiding() {
     let acc = Accelerator::new(BackendKind::FlBooster, k, 4).unwrap();
     let tiny = vec![1e-9; 8]; // tiny magnitudes
     let large = vec![0.999; 8]; // large magnitudes
-    let c_tiny = acc.encrypt(&tiny, 11).unwrap();
-    let c_large = acc.encrypt(&large, 12).unwrap();
+    let c_tiny = acc.encrypt_timed(&tiny, 11).unwrap().0;
+    let c_large = acc.encrypt_timed(&large, 12).unwrap().0;
     // Same ciphertext shape regardless of magnitude: byte sizes match.
     assert_eq!(c_tiny.ciphertext_count(), c_large.ciphertext_count());
     let size = |v: &fl::backend::EncryptedVector| -> Vec<usize> {
@@ -37,8 +37,8 @@ fn ciphertexts_are_semantically_hiding() {
     assert_eq!(size(&c_tiny).len(), size(&c_large).len());
 
     // Fresh encryptions of the same vector differ.
-    let c1 = acc.encrypt(&tiny, 100).unwrap();
-    let c2 = acc.encrypt(&tiny, 101).unwrap();
+    let c1 = acc.encrypt_timed(&tiny, 100).unwrap().0;
+    let c2 = acc.encrypt_timed(&tiny, 101).unwrap().0;
     assert_ne!(c1.cts[0].value, c2.cts[0].value);
 }
 
@@ -46,8 +46,8 @@ fn ciphertexts_are_semantically_hiding() {
 fn cross_key_ciphertexts_are_rejected_not_garbled() {
     let acc1 = Accelerator::new(BackendKind::Fate, keys(2), 4).unwrap();
     let acc2 = Accelerator::new(BackendKind::Fate, keys(3), 4).unwrap();
-    let enc = acc1.encrypt(&[0.5, -0.5], 0).unwrap();
-    let err = acc2.decrypt_sum(&enc, 1);
+    let enc = acc1.encrypt_timed(&[0.5, -0.5], 0).unwrap().0;
+    let err = acc2.decrypt_sum_timed(&enc, 1);
     assert!(err.is_err(), "foreign ciphertexts must be rejected loudly");
 }
 
@@ -56,8 +56,8 @@ fn guard_bit_exhaustion_is_a_typed_error() {
     // 4 participants reserve 2 guard bits; claiming a 5-term sum must be
     // rejected before decoding garbage.
     let acc = Accelerator::new(BackendKind::FlBooster, keys(4), 4).unwrap();
-    let enc = acc.encrypt(&[0.1, 0.2], 0).unwrap();
-    let result = acc.decrypt_sum(&enc, 5);
+    let enc = acc.encrypt_timed(&[0.1, 0.2], 0).unwrap().0;
+    let result = acc.decrypt_sum_timed(&enc, 5).map(|(v, _)| v);
     match result {
         Err(fl::Error::Platform(flbooster_core::Error::Codec(
             codec::Error::OverflowBitsExhausted {
@@ -168,8 +168,8 @@ fn quantizer_and_keys_must_be_consistent() {
     // 64-bit key = 2 slots - 1 usable: still constructible…
     let acc = Accelerator::new(BackendKind::FlBooster, tiny, 4).unwrap();
     // …and correct, just with compression ratio 1.
-    let enc = acc.encrypt(&[0.25, -0.75], 0).unwrap();
-    let back = acc.decrypt_sum(&enc, 1).unwrap();
+    let enc = acc.encrypt_timed(&[0.25, -0.75], 0).unwrap().0;
+    let back = acc.decrypt_sum_timed(&enc, 1).unwrap().0;
     assert!((back[0] - 0.25).abs() < 1e-8);
     assert!((back[1] + 0.75).abs() < 1e-8);
 }
